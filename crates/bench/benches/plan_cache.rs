@@ -1,5 +1,5 @@
 //! The plan-cache guard: a 500-query skewed workload (repeats and
-//! table-renamed copies of a 24-shape pool) served through `PlanServer`
+//! table-renamed copies of a 24-shape pool) served through `ConcurrentPlanServer`
 //! versus fresh per-request optimization.
 //!
 //! Three jobs:
@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lec_core::{Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
-use lec_service::{CacheDecision, PlanServer};
+use lec_service::{CacheDecision, ConcurrentPlanServer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
@@ -95,7 +95,7 @@ fn bench_plan_cache(c: &mut Criterion) {
 
     // Cold pass: a new server sees the stream once (recomputes per
     // distinct shape, hits on repeats), then the warm pass replays it.
-    let mut server = PlanServer::new(&catalog, memory.clone());
+    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
     let t0 = Instant::now();
     for q in &stream {
         black_box(server.serve(q, &mode).expect("cold serve"));

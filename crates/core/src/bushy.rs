@@ -41,8 +41,7 @@ pub fn optimize_lec_bushy_with(
     memory: &Distribution,
     config: &SearchConfig,
 ) -> Result<SearchOutcome, OptError> {
-    let coster = StaticExpectationCoster::new(memory)
-        .with_parallelism(config.bucket_parallelism_for(model.query()));
+    let coster = StaticExpectationCoster::new(memory);
     let mut policy = KeepBestPolicy::new(coster);
     let run = run_search_with(model, PlanShape::Bushy, &mut policy, config)?;
     let (best, stats) = run.into_best();

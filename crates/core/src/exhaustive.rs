@@ -84,18 +84,13 @@ pub fn exhaustive_best_shaped_with(
             ));
         }
     }
-    let par = config.bucket_parallelism_for(model.query());
     match objective {
         Objective::Point(m) => run_keep_all(model, shape, PointCoster { memory: *m }, config),
-        Objective::Expected(dist) => run_keep_all(
-            model,
-            shape,
-            StaticExpectationCoster::new(dist).with_parallelism(par),
-            config,
-        ),
+        Objective::Expected(dist) => {
+            run_keep_all(model, shape, StaticExpectationCoster::new(dist), config)
+        }
         Objective::Dynamic { initial, chain } => {
-            let coster =
-                DynamicExpectationCoster::new(initial, chain, n.max(1))?.with_parallelism(par);
+            let coster = DynamicExpectationCoster::new(initial, chain, n.max(1))?;
             run_keep_all(model, shape, coster, config)
         }
     }

@@ -44,7 +44,7 @@
 //! uniform [`SearchStats`] and optional mode-specific extras — so callers
 //! never destructure per-mode result types.  All memory-dependent
 //! evaluations flow through `lec-cost`'s memoized evaluation cache keyed
-//! by `(table set, operator, memory bucket)`; [`SearchStats::evals`]
+//! by `(operator, memory bucket, operand sizes)`; [`SearchStats::evals`]
 //! counts only the formula evaluations actually performed, making the
 //! paper's "factor b" overhead claims — and the cache's savings —
 //! directly observable.
@@ -53,33 +53,29 @@
 //!
 //! The engine runs serial or parallel under one [`SearchConfig`]
 //! (`threads` defaults to the machine's available parallelism; `1` forces
-//! the serial driver).  Parallelism is **level-barrier fan-out**: the
-//! subsets at one dag depth are independent, so a pool of scoped worker
-//! threads — spawned once per search — steals them off a shared cursor,
-//! combines each wholly on one thread in serial order, and merges results
-//! deterministically at the depth barrier.  `lec-cost`'s evaluation cache
-//! is sharded across per-tier mutexes held for the duration of a miss, so
-//! every distinct evaluation runs exactly once regardless of schedule.
-//! Together this makes parallel outcomes *byte-identical* to serial ones
-//! — plans, cost bits, `evals`, `cache_hits` — property-tested for every
-//! policy in `tests/parallel_parity.rs`.  The fan-out gate is
-//! *work-aware*: it counts connected subsets per level (an 8-table chain
-//! has 70 subsets but only 5 working ones at its widest level), so
-//! sparse topologies stay serial instead of paying pool overhead.  For
-//! searches the level fan-out cannot help (narrow but deep), the
-//! expectation costers instead fan one candidate's bucket evaluations
-//! out ([`lec_cost::BucketParallelism`]) once it needs enough formula
-//! work — Algorithm D's block nested-loop triple product being the
-//! realistic beneficiary; the two axes are deliberately exclusive so
-//! worker counts never multiply.  Every mode wrapper has a `*_with(..,
-//! &SearchConfig)` variant; a worker panic surfaces as
+//! the serial driver).  There is one parallel axis, **level-barrier
+//! fan-out**: the subsets at one dag depth are independent, so worker
+//! threads steal them off a shared cursor, combine each wholly on one
+//! thread in serial order, and the driver merges results
+//! deterministically at the depth barrier.  A single candidate's bucket
+//! expectation always runs on the thread that combines its subset.
+//! `lec-cost`'s evaluation cache is sharded across per-tier mutexes held
+//! for the duration of a miss, so every distinct evaluation runs exactly
+//! once regardless of schedule.  Together this makes parallel outcomes
+//! *byte-identical* to serial ones — plans, cost bits, `evals`,
+//! `cache_hits` — property-tested for every policy in
+//! `tests/parallel_parity.rs`.  The fan-out gate is *work-aware*: it
+//! counts connected subsets per level (an 8-table chain has 70 subsets
+//! but only 5 working ones at its widest level), so sparse topologies
+//! stay serial instead of paying pool overhead.  Every mode wrapper has
+//! a `*_with(.., &SearchConfig)` variant; a worker panic surfaces as
 //! [`OptError::WorkerPanicked`], never a deadlock.  Worker threads come
 //! from a pluggable [`search::WorkerPool`] (`SearchConfig::pool`): the
 //! default spawns a scoped pool per search, while a
 //! [`search::PersistentPool`] of long-lived parked threads (shared
-//! across searches, as `lec-service`'s `PlanServer` does) cuts dispatch
-//! from ~50µs to a few µs so even sub-100µs queries fan out — with
-//! outcomes byte-identical either way.
+//! across searches, as `lec-service`'s `ConcurrentPlanServer` does) cuts
+//! dispatch from ~50µs to a few µs so even sub-100µs queries fan out —
+//! with outcomes byte-identical either way.
 //!
 //! The quickest way in:
 //!

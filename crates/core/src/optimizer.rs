@@ -175,7 +175,7 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Override the parallel-search configuration (thread count, fan-out
-    /// thresholds) for every subsequent [`Optimizer::optimize`] call.
+    /// threshold) for every subsequent [`Optimizer::optimize`] call.
     /// The randomized modes (II/SA) are move-based rather than DP-based
     /// and ignore it.
     pub fn with_search_config(mut self, search: SearchConfig) -> Self {

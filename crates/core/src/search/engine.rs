@@ -149,11 +149,6 @@ pub struct SearchConfig {
     /// Minimum number of subsets the widest DP level must have before the
     /// engine fans out at all (small searches stay serial).
     pub fanout_threshold: usize,
-    /// Minimum cost-formula evaluations one candidate must need before
-    /// its bucket expectation is itself fanned out (the inner hot loop of
-    /// Algorithms C/D); forwarded to the costers as
-    /// [`lec_cost::BucketParallelism::min_evals`].
-    pub bucket_evals_threshold: usize,
     /// Where the level fan-out's worker threads come from.  `None` spawns
     /// a scoped pool per search (the zero-standing-cost default); a
     /// [`super::PersistentPool`] shares long-lived parked threads across
@@ -188,8 +183,7 @@ pub struct SearchConfig {
     /// time each DP level's combine pass, every memo probe, and every
     /// bound evaluation into its histograms.  Purely observational —
     /// results and all work counters are byte-identical with or without
-    /// it, so like the pool and memo it does not participate in
-    /// [`SearchConfig::fingerprint`].
+    /// it.
     pub telemetry: Option<Arc<lec_telemetry::EngineTelemetry>>,
 }
 
@@ -198,7 +192,6 @@ impl Default for SearchConfig {
         SearchConfig {
             threads: 0,
             fanout_threshold: DEFAULT_FANOUT_THRESHOLD,
-            bucket_evals_threshold: lec_cost::DEFAULT_MIN_PARALLEL_EVALS,
             pool: None,
             memo: None,
             pruning: false,
@@ -211,7 +204,6 @@ impl PartialEq for SearchConfig {
     fn eq(&self, other: &Self) -> bool {
         self.threads == other.threads
             && self.fanout_threshold == other.fanout_threshold
-            && self.bucket_evals_threshold == other.bucket_evals_threshold
             && match (&self.pool, &other.pool) {
                 (None, None) => true,
                 (Some(a), Some(b)) => {
@@ -291,21 +283,6 @@ impl SearchConfig {
         self
     }
 
-    /// Stable fingerprint of the outcome-relevant knobs, for cross-query
-    /// plan-cache keys.  The pool is a thread *source* and the memo a
-    /// work *cache*, not semantic knobs (results are byte-identical with
-    /// or without either), so neither participates; pruning is excluded
-    /// for the same reason — it discards only strictly-worse candidates,
-    /// so the answer a cache key names is identical either way.
-    /// Telemetry is pure observation and is excluded likewise.
-    pub fn fingerprint(&self) -> u64 {
-        lec_cost::Fingerprint::new()
-            .u64(self.threads as u64)
-            .u64(self.fanout_threshold as u64)
-            .u64(self.bucket_evals_threshold as u64)
-            .finish()
-    }
-
     /// The resolved thread count: `threads`, or the machine's available
     /// parallelism when `threads == 0`.
     pub fn effective_threads(&self) -> usize {
@@ -315,27 +292,6 @@ impl SearchConfig {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
-        }
-    }
-
-    /// The per-candidate bucket fan-out policy implied by this config for
-    /// `query`, for handing to the expectation costers.
-    ///
-    /// The two fan-out axes are **exclusive**: when the level fan-out
-    /// engages ([`SearchConfig::fans_out`]), bucket evaluation stays
-    /// serial — otherwise every DP worker could spawn its own bucket
-    /// scope (`threads²` live threads), and it would do so while holding
-    /// an eval-cache shard lock that other DP workers may want.  Bucket
-    /// fan-out is the fallback axis for narrow-but-deep searches the
-    /// level fan-out cannot help.
-    pub fn bucket_parallelism_for(&self, query: &Query) -> lec_cost::BucketParallelism {
-        if self.fans_out(query) {
-            lec_cost::BucketParallelism::serial()
-        } else {
-            lec_cost::BucketParallelism {
-                threads: self.effective_threads(),
-                min_evals: self.bucket_evals_threshold,
-            }
         }
     }
 

@@ -16,12 +16,12 @@
 //! probe recording on) and populates the memo.
 //!
 //! Because the memo is shared across searches (one [`SubplanMemo`] lives
-//! in `lec-service`'s `PlanServer` and is injected into every search via
-//! [`super::SearchConfig::memo`]), different-shaped queries that merely
-//! *overlap* — a 6-table chain sharing a 4-table subchain with an
-//! 8-table chain, a weak-hit revalidation repeating yesterday's subtrees
-//! — turn into partial hits instead of full DPs.  Within one search it
-//! also deduplicates repeated subquery shapes across the dag.
+//! in `lec-service`'s `ConcurrentPlanServer` and is injected into every
+//! search via [`super::SearchConfig::memo`]), different-shaped queries
+//! that merely *overlap* — a 6-table chain sharing a 4-table subchain
+//! with an 8-table chain, a weak-hit revalidation repeating yesterday's
+//! subtrees — turn into partial hits instead of full DPs.  Within one
+//! search it also deduplicates repeated subquery shapes across the dag.
 //!
 //! The memo never changes results, only work: eligibility mirrors the
 //! serving cache's `Uncacheable` rules (top-c and randomized modes
@@ -139,7 +139,7 @@ pub struct MemoRecord {
 }
 
 /// Lifetime counters of one memo, exposed through
-/// `PlanServer::metrics_json` and [`SubplanMemo::stats`].
+/// `ConcurrentPlanServer::metrics_json` and [`SubplanMemo::stats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemoStats {
     /// Nodes served from the memo (combine skipped).

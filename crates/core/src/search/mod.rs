@@ -35,22 +35,28 @@
 //! # Threading model
 //!
 //! The engine has a third axis: *parallelism* ([`engine::SearchConfig`],
-//! driven by [`engine::run_search_with`]).  Subsets at one dag depth are
-//! independent — their splits only read completed lower depths — so each
-//! depth is fanned out across a pool of scoped worker threads that live
-//! for the whole search (**level-barrier fan-out**): the driver publishes
-//! the depth's subsets, every thread steals subsets off a shared cursor
-//! and combines them with its own [`CandidatePolicy::fork`] of the policy,
-//! and the driver folds the per-worker results (and, at the end, the
-//! forked policies) back **deterministically** at the depth barrier.
-//! Below the expectation costers, `lec-cost`'s eval cache is sharded
-//! across per-tier mutexes that are held for the duration of a miss's
-//! compute, so every distinct evaluation happens exactly once no matter
-//! how subsets were scheduled.  The combination makes a parallel search
-//! byte-identical to a serial one — plans, costs, tie-breaks, `evals`,
-//! `cache_hits` — which the `parallel_parity` property tests pin for every
-//! policy.  `SearchConfig::threads == 1` bypasses all of this and runs
-//! the untouched serial driver; a worker panic surfaces as
+//! driven by [`engine::run_search_with`]), and it has exactly one form,
+//! **level-barrier fan-out**.  Subsets at one dag depth are independent —
+//! their splits only read completed lower depths — so each depth is
+//! fanned out across worker threads borrowed from a [`pool::WorkerPool`]
+//! (scoped threads per search by default, or a shared
+//! [`pool::PersistentPool`]): the driver publishes the depth's subsets,
+//! every thread steals subsets off a shared cursor and combines them with
+//! its own [`CandidatePolicy::fork`] of the policy, and the driver folds
+//! the per-worker results (and, at the end, the forked policies) back
+//! **deterministically** at the depth barrier.  Within one subset,
+//! candidate costing — a candidate's whole bucket expectation included —
+//! stays on the thread that owns the subset.  Below the expectation
+//! costers, `lec-cost`'s eval cache is sharded across per-tier mutexes
+//! that are held for the duration of a miss's compute, so every distinct
+//! evaluation happens exactly once no matter how subsets were scheduled.
+//! The combination makes a parallel search byte-identical to a serial
+//! one — plans, costs, tie-breaks, `evals`, `cache_hits` — which the
+//! `parallel_parity` property tests pin for every policy.  The fan-out
+//! gate ([`engine::SearchConfig::fans_out`]) counts connected subsets at
+//! the widest level, so narrow searches skip the pool entirely.
+//! `SearchConfig::threads == 1` bypasses all of this and runs the
+//! untouched serial driver; a worker panic surfaces as
 //! [`crate::OptError::WorkerPanicked`], never a deadlock.
 //!
 //! # Subplan memo
@@ -71,9 +77,9 @@
 //! the randomized modes bypass, as does any subset containing twin
 //! tables (equal exact fingerprints — refused by the canonicalizer, so
 //! no label-dependent tie-break below the node can leak into a
-//! record).  `lec-service`'s
-//! `PlanServer` shares one memo across all its searches, turning
-//! overlapping different-shaped requests into partial hits.
+//! record).  `lec-service`'s `ConcurrentPlanServer` shares one memo
+//! across all its searches, turning overlapping different-shaped
+//! requests into partial hits.
 //!
 //! # Bound-based pruning
 //!

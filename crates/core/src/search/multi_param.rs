@@ -17,7 +17,7 @@ use super::policy::{
 };
 use super::SearchStats;
 use lec_canon::SubplanForm;
-use lec_cost::{BucketParallelism, CostModel};
+use lec_cost::CostModel;
 use lec_plan::{JoinMethod, OrderProperty, PlanNode};
 use lec_prob::{Distribution, PrefixTables, Rebucket};
 
@@ -84,7 +84,6 @@ pub struct MultiParamPolicy {
     memory: Distribution,
     mem_fp: u64,
     m_tables: PrefixTables,
-    par: BucketParallelism,
     /// Largest size-distribution support seen before rebucketing.
     pub max_product_support: usize,
     /// The current DP node's contribution to `max_product_support`, reset
@@ -106,18 +105,9 @@ impl MultiParamPolicy {
             mem_fp: lec_cost::dist_fingerprint(memory),
             memory: memory.clone(),
             config,
-            par: BucketParallelism::serial(),
             max_product_support: 0,
             node_support: 0,
         }
-    }
-
-    /// Fan one candidate's bucket evaluations (block nested-loop's
-    /// `b_A·b_B·b_M` triple sum, the §3.6 hot loop) out across threads
-    /// once they cross `par.min_evals`.
-    pub fn with_parallelism(mut self, par: BucketParallelism) -> Self {
-        self.par = par;
-        self
     }
 
     /// The §3.6.3 result-size distribution `|B_j| · |A_j| · σ`.
@@ -208,7 +198,7 @@ impl CandidatePolicy for MultiParamPolicy {
                 let result_size = self.product_size(&oe.pages, &ie.pages, &sel_dist);
                 for method in JoinMethod::ALL {
                     stats.candidates += 1;
-                    let join_ec = model.expected_join_cost_for_with(
+                    let join_ec = model.expected_join_cost_for(
                         ctx.left,
                         ctx.right,
                         method,
@@ -217,7 +207,6 @@ impl CandidatePolicy for MultiParamPolicy {
                         &self.memory,
                         self.mem_fp,
                         &self.m_tables,
-                        self.par,
                     );
                     let cost = oe.cost + ie.cost + join_ec;
                     let order = join_output_order(model, ctx.left, oe.order, ctx.right, method);

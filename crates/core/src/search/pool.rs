@@ -113,9 +113,10 @@ struct PoolShared {
 ///
 /// One pool serves one search at a time (concurrent `scope` calls
 /// serialize on an internal lock); share it across sequential searches —
-/// the [`crate::Optimizer`] facade and `lec-service`'s `PlanServer` do
-/// exactly that.  Worker panics are contained per job: the pool threads
-/// survive a panicking search and serve the next one.
+/// the [`crate::Optimizer`] facade and `lec-service`'s
+/// `ConcurrentPlanServer` do exactly that.  Worker panics are contained
+/// per job: the pool threads survive a panicking search and serve the
+/// next one.
 ///
 /// The pool can be drained explicitly with [`PersistentPool::shutdown`]
 /// (long-lived daemons do this on graceful exit so no parked thread

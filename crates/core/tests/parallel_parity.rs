@@ -121,43 +121,6 @@ proptest! {
             }
         }
     }
-
-    /// The intra-candidate bucket fan-out (forced on by an eval threshold
-    /// of 1) is bit-identical too.  The two fan-out axes are exclusive by
-    /// design — bucket parallelism only engages when the level fan-out
-    /// does not — so the level gate is left closed (`fanout_threshold`
-    /// maxed) to actually reach the bucket path.
-    #[test]
-    fn bucket_fanout_is_byte_identical(
-        seed in 0u64..4000,
-        n in 3usize..5,
-        center in 60.0f64..2500.0,
-    ) {
-        let (cat, q) = workload(seed, n);
-        let memory = presets::spread_family(center, 0.6, 5).unwrap();
-        let serial_model = CostModel::new(&cat, &q);
-        let serial = optimize_lec_static_with(&serial_model, &memory, &SearchConfig::serial()).unwrap();
-        for threads in [2usize, 4] {
-            let cfg = SearchConfig {
-                threads,
-                fanout_threshold: usize::MAX,
-                bucket_evals_threshold: 1,
-                ..Default::default()
-            };
-            let par_model = CostModel::new(&cat, &q);
-            let parallel = optimize_lec_static_with(&par_model, &memory, &cfg).unwrap();
-            assert_identical("alg_c+buckets", threads, &serial, &parallel);
-            let d_serial_model = CostModel::new(&cat, &q);
-            let d_serial = optimize_alg_d_with(
-                &d_serial_model, &memory, &AlgDConfig::default(), &SearchConfig::serial(),
-            ).unwrap();
-            let d_model = CostModel::new(&cat, &q);
-            let d_parallel = optimize_alg_d_with(
-                &d_model, &memory, &AlgDConfig::default(), &cfg,
-            ).unwrap();
-            assert_identical("alg_d+buckets", threads, &d_serial, &d_parallel);
-        }
-    }
 }
 
 proptest! {
@@ -530,10 +493,6 @@ fn workaware_gate_keeps_sparse_chains_serial() {
     assert!(!cfg.fans_out(&chain), "sparse chain must stay serial");
     assert!(cfg.fans_out(&star), "wide star must fan out");
     assert!(!SearchConfig::serial().fans_out(&star));
-    // Exclusive axes: when the level fan-out engages, bucket parallelism
-    // is off; when it doesn't, bucket parallelism carries the threads.
-    assert_eq!(cfg.bucket_parallelism_for(&star).threads, 1);
-    assert_eq!(cfg.bucket_parallelism_for(&chain).threads, 4);
 }
 
 #[test]

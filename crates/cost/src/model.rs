@@ -158,74 +158,6 @@ impl std::fmt::Debug for ShardedEvalCache {
     }
 }
 
-/// How far to fan the evaluation of one candidate's buckets out across
-/// threads (the inner hot loop of Algorithms C and D).
-///
-/// `threads` is the fan-out width; `min_evals` is the minimum number of
-/// cost-formula evaluations a single candidate must require before the
-/// fan-out engages — spawning scoped threads costs tens of microseconds,
-/// so tiny expectations must stay serial.  The parallel path folds the
-/// per-bucket results in bucket order, so the expected cost is
-/// bit-identical to the serial sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BucketParallelism {
-    /// Threads to fan one candidate's bucket evaluations across.
-    pub threads: usize,
-    /// Minimum per-candidate evaluation count before fanning out.
-    pub min_evals: usize,
-}
-
-/// Default [`BucketParallelism::min_evals`]: below ~2k formula
-/// evaluations, scoped-thread spawn overhead exceeds the work.  Algorithm
-/// C only crosses this with enormous bucket counts; Algorithm D's block
-/// nested-loop triple product (`b_A·b_B·b_M`) crosses it at `b = 16`.
-pub const DEFAULT_MIN_PARALLEL_EVALS: usize = 2048;
-
-impl BucketParallelism {
-    /// No intra-candidate parallelism whatsoever.
-    pub const fn serial() -> Self {
-        BucketParallelism {
-            threads: 1,
-            min_evals: usize::MAX,
-        }
-    }
-
-    /// Fan out across `threads` once a candidate needs
-    /// [`DEFAULT_MIN_PARALLEL_EVALS`] evaluations.
-    pub fn new(threads: usize) -> Self {
-        BucketParallelism {
-            threads: threads.max(1),
-            min_evals: DEFAULT_MIN_PARALLEL_EVALS,
-        }
-    }
-
-    /// Whether a candidate costing `evals` formula evaluations should fan
-    /// out.
-    pub fn active_for(&self, evals: u64) -> bool {
-        self.threads > 1 && evals >= self.min_evals as u64
-    }
-}
-
-impl Default for BucketParallelism {
-    fn default() -> Self {
-        BucketParallelism::serial()
-    }
-}
-
-/// Evaluate `f` over every bucket of `memory` across `threads` scoped
-/// threads, then fold `Σ f(vᵢ)·pᵢ` in bucket order.  The fold performs the
-/// same multiplications and additions in the same order as the serial
-/// [`Distribution::expect`], so the result is bit-identical.
-fn parallel_bucket_expectation(
-    memory: &Distribution,
-    threads: usize,
-    f: impl Fn(f64) -> f64 + Sync,
-) -> f64 {
-    let mut costs = vec![0.0f64; memory.len()];
-    crate::par::map_chunked(memory.support(), &mut costs, threads, f);
-    costs.iter().zip(memory.probs()).map(|(c, p)| c * p).sum()
-}
-
 /// Memoization key for one memory-dependent operator evaluation: the
 /// operator, the memory ingredient (bucket value or distribution
 /// fingerprint), and the exact operand sizes (point pages or distribution
@@ -833,34 +765,6 @@ impl<'a> CostModel<'a> {
         memory: &Distribution,
         mem_fp: u64,
     ) -> f64 {
-        self.expected_join_cost_over_with(
-            left,
-            right,
-            method,
-            outer,
-            inner,
-            memory,
-            mem_fp,
-            BucketParallelism::serial(),
-        )
-    }
-
-    /// [`CostModel::expected_join_cost_over`] with an explicit bucket
-    /// fan-out policy: when `par` is active for the distribution's bucket
-    /// count, a cache miss evaluates the per-bucket costs across scoped
-    /// threads and folds them in bucket order (bit-identical to serial).
-    #[allow(clippy::too_many_arguments)]
-    pub fn expected_join_cost_over_with(
-        &self,
-        left: TableSet,
-        right: TableSet,
-        method: JoinMethod,
-        outer: f64,
-        inner: f64,
-        memory: &Distribution,
-        mem_fp: u64,
-        par: BucketParallelism,
-    ) -> f64 {
         let key = EvalKey {
             op: EvalOp::ExpectedJoinOver(method),
             mem: mem_fp,
@@ -868,12 +772,7 @@ impl<'a> CostModel<'a> {
             inner: inner.to_bits(),
         };
         let v = self.cached(key, || {
-            let per_bucket = |m: f64| self.join_cost(method, outer, inner, m);
-            if par.active_for(memory.len() as u64) {
-                parallel_bucket_expectation(memory, par.threads, per_bucket)
-            } else {
-                memory.expect(per_bucket)
-            }
+            memory.expect(|m| self.join_cost(method, outer, inner, m))
         });
         if probe_log_active() {
             push_probe(CostProbe {
@@ -899,33 +798,13 @@ impl<'a> CostModel<'a> {
         memory: &Distribution,
         mem_fp: u64,
     ) -> f64 {
-        self.expected_sort_cost_over_with(set, pages, memory, mem_fp, BucketParallelism::serial())
-    }
-
-    /// [`CostModel::expected_sort_cost_over`] with an explicit bucket
-    /// fan-out policy.
-    pub fn expected_sort_cost_over_with(
-        &self,
-        set: TableSet,
-        pages: f64,
-        memory: &Distribution,
-        mem_fp: u64,
-        par: BucketParallelism,
-    ) -> f64 {
         let key = EvalKey {
             op: EvalOp::ExpectedSortOver,
             mem: mem_fp,
             outer: pages.to_bits(),
             inner: 0,
         };
-        let v = self.cached(key, || {
-            let per_bucket = |m: f64| self.sort_cost(pages, m);
-            if par.active_for(memory.len() as u64) {
-                parallel_bucket_expectation(memory, par.threads, per_bucket)
-            } else {
-                memory.expect(per_bucket)
-            }
-        });
+        let v = self.cached(key, || memory.expect(|m| self.sort_cost(pages, m)));
         if probe_log_active() {
             push_probe(CostProbe {
                 left: set.bits(),
@@ -962,71 +841,23 @@ impl<'a> CostModel<'a> {
         m_fp: u64,
         m_tables: &PrefixTables,
     ) -> f64 {
-        self.expected_join_cost_for_with(
-            left,
-            right,
-            method,
-            a_dist,
-            b_dist,
-            m_dist,
-            m_fp,
-            m_tables,
-            BucketParallelism::serial(),
-        )
-    }
-
-    /// [`CostModel::expected_join_cost_for`] with an explicit bucket
-    /// fan-out policy.  The only method whose per-candidate evaluation
-    /// count can justify fanning out is block nested-loop (the
-    /// non-separable `b_A·b_B·b_M` triple sum); its parallel path computes
-    /// per-`a`-bucket partial sums across threads and folds them in bucket
-    /// order, matching the serial accumulation structure bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn expected_join_cost_for_with(
-        &self,
-        left: TableSet,
-        right: TableSet,
-        method: JoinMethod,
-        a_dist: &Distribution,
-        b_dist: &Distribution,
-        m_dist: &Distribution,
-        m_fp: u64,
-        m_tables: &PrefixTables,
-        par: BucketParallelism,
-    ) -> f64 {
         let key = EvalKey {
             op: EvalOp::ExpectedJoin(method),
             mem: m_fp,
             outer: dist_fingerprint(a_dist),
             inner: dist_fingerprint(b_dist),
         };
-        let v = self.cached(key, || {
-            let evals = match method {
-                JoinMethod::BlockNestedLoop => {
-                    crate::expected::naive_eval_count(a_dist, b_dist, m_dist)
-                }
-                _ => (a_dist.len() + b_dist.len()) as u64,
-            };
-            self.count_evals(evals);
-            if method == JoinMethod::BlockNestedLoop && par.active_for(evals) {
-                crate::expected::parallel_naive_expected_join_cost(
-                    method,
-                    a_dist,
-                    b_dist,
-                    m_dist,
-                    par.threads,
-                )
-            } else {
-                crate::expected::expected_join_cost(method, a_dist, b_dist, m_dist, m_tables)
+        let evals = match method {
+            JoinMethod::BlockNestedLoop => {
+                crate::expected::naive_eval_count(a_dist, b_dist, m_dist)
             }
+            _ => (a_dist.len() + b_dist.len()) as u64,
+        };
+        let v = self.cached(key, || {
+            self.count_evals(evals);
+            crate::expected::expected_join_cost(method, a_dist, b_dist, m_dist, m_tables)
         });
         if probe_log_active() {
-            let direct_evals = match method {
-                JoinMethod::BlockNestedLoop => {
-                    crate::expected::naive_eval_count(a_dist, b_dist, m_dist)
-                }
-                _ => (a_dist.len() + b_dist.len()) as u64,
-            };
             push_probe(CostProbe {
                 left: left.bits(),
                 right: right.bits(),
@@ -1035,7 +866,7 @@ impl<'a> CostModel<'a> {
                 outer: key.outer,
                 inner: key.inner,
                 value: v,
-                direct_evals,
+                direct_evals: evals,
             });
         }
         v
@@ -1429,37 +1260,6 @@ mod tests {
         m.reset_evals();
         m.expected_sort_cost_for(l, &a, mem_fp, &mt);
         assert_eq!(m.evals(), 2);
-    }
-
-    #[test]
-    fn parallel_bucket_expectation_is_bit_identical_to_serial() {
-        let (cat, q) = fixture();
-        let (l, r) = (TableSet::singleton(0), TableSet::singleton(1));
-        let memory = Distribution::from_pairs(
-            (0..37).map(|i| (50.0 + 13.0 * i as f64, 1.0 + (i % 5) as f64)),
-        )
-        .unwrap();
-        let mem_fp = dist_fingerprint(&memory);
-        for threads in [2usize, 3, 8, 64] {
-            let par = BucketParallelism {
-                threads,
-                min_evals: 1,
-            };
-            let serial_model = CostModel::new(&cat, &q);
-            let par_model = CostModel::new(&cat, &q);
-            for method in JoinMethod::ALL {
-                let s = serial_model
-                    .expected_join_cost_over(l, r, method, 123.0, 456.0, &memory, mem_fp);
-                let p = par_model
-                    .expected_join_cost_over_with(l, r, method, 123.0, 456.0, &memory, mem_fp, par);
-                assert_eq!(s.to_bits(), p.to_bits(), "{method:?} at {threads} threads");
-            }
-            let s = serial_model.expected_sort_cost_over(l, 900.0, &memory, mem_fp);
-            let p = par_model.expected_sort_cost_over_with(l, 900.0, &memory, mem_fp, par);
-            assert_eq!(s.to_bits(), p.to_bits(), "sort at {threads} threads");
-            assert_eq!(serial_model.evals(), par_model.evals());
-            assert_eq!(serial_model.eval_cache_hits(), par_model.eval_cache_hits());
-        }
     }
 
     #[test]

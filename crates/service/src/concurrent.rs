@@ -56,13 +56,12 @@
 //! ```
 
 use crate::cache::{CacheDecision, CacheStats, CanonicalAnswer, ExactLookup, ShapeCache};
-use crate::server::{ServeResponse, DEFAULT_CACHE_CAPACITY};
 use lec_canon::canonical_form;
 use lec_catalog::Catalog;
 use lec_core::search::{PersistentPool, SubplanMemo, WorkerPool};
-use lec_core::{Mode, OptError, Optimizer};
+use lec_core::{Mode, OptError, Optimizer, SearchStats};
 use lec_cost::dist_fingerprint;
-use lec_plan::Query;
+use lec_plan::{PlanNode, Query};
 use lec_prob::Distribution;
 use lec_telemetry::{Outcome, Stage, Telemetry, TraceCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,14 +178,54 @@ impl Drop for ColdPermit<'_> {
     }
 }
 
+/// Default number of cached plans.
+pub const DEFAULT_CACHE_CAPACITY: usize = 512;
+
+/// One answered request: the plan in the *caller's* table numbering, its
+/// objective value, the search statistics behind it, and what the cache
+/// did.
+#[derive(Debug, Clone)]
+pub struct ServeResponse {
+    /// The chosen plan, relabeled to the request's table indices.
+    pub plan: PlanNode,
+    /// Its objective value (point cost for LSC, expected cost otherwise).
+    pub cost: f64,
+    /// Mode display name.
+    pub mode: &'static str,
+    /// Statistics of the search that produced the plan.  For
+    /// [`CacheDecision::Served`] and [`CacheDecision::Coalesced`]
+    /// responses these are the *original* computation's counters with
+    /// `elapsed` re-stamped to this request's serve latency (the whole
+    /// point of serving from cache or coalescing onto a leader).
+    pub stats: SearchStats,
+    /// How the cache participated.
+    pub decision: CacheDecision,
+}
+
+impl ServeResponse {
+    /// Machine-readable form (the per-response record of the metrics
+    /// stream).
+    pub fn to_json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "mode": self.mode,
+            "plan": self.plan.compact(),
+            "cost": self.cost,
+            "decision": self.decision.name(),
+            "stats": self.stats.to_json(),
+        })
+    }
+}
+
 /// A long-lived, thread-shared query-optimization service over one
 /// catalog and memory belief.
 ///
-/// Where [`crate::PlanServer`] answers one client at a time (`&mut
-/// self`), this server is the multi-client front end: [`serve`] takes
-/// `&self`, so any number of threads share one instance (typically
-/// `Arc<ConcurrentPlanServer>`, or plain borrows under
-/// [`std::thread::scope`]).  See the [module docs](self) for the three
+/// Where [`Optimizer`] answers one query, the server answers a *stream*,
+/// carrying cross-query state the per-query facade cannot: the
+/// canonical-shape plan cache, one persistent worker pool and one
+/// subplan memo.  [`serve`] takes `&self`, so any number of threads
+/// share one instance (typically `Arc<ConcurrentPlanServer>`, or plain
+/// borrows under [`std::thread::scope`]); a single client simply never
+/// sees a coalesced follower.  See the [module docs](self) for the three
 /// layers — sharded cache, singleflight coalescing, shared pool/memo —
 /// and the byte-identity contract.
 ///
@@ -197,7 +236,6 @@ pub struct ConcurrentPlanServer<'a> {
     cache: ShapeCache,
     memo: Option<Arc<SubplanMemo>>,
     memory_fp: u64,
-    search_fp: u64,
     /// Lifetime total of subsets discarded by branch-and-bound pruning
     /// across every fresh search this server ran (served/coalesced
     /// responses reuse an already-counted search).
@@ -225,8 +263,10 @@ const _: fn() = || {
 impl<'a> ConcurrentPlanServer<'a> {
     /// A server over `catalog` believing `memory`, with the default cache
     /// capacity, a persistent worker pool sized to the host, and a shared
-    /// cross-search subplan memo — the same defaults as
-    /// [`crate::PlanServer::new`].
+    /// cross-search subplan memo: even requests the whole-request cache
+    /// cannot answer (cold different-shaped queries, weak-hit
+    /// revalidations) reuse the DP nodes their subquery shapes share with
+    /// everything served before.
     pub fn new(catalog: &'a Catalog, memory: Distribution) -> Self {
         let pool: Arc<dyn WorkerPool> = Arc::new(PersistentPool::for_host());
         let memo = Arc::new(SubplanMemo::default());
@@ -242,14 +282,12 @@ impl<'a> ConcurrentPlanServer<'a> {
     /// worker pool, subplan memo) and cache capacity.
     pub fn with_optimizer(optimizer: Optimizer<'a>, cache_capacity: usize) -> Self {
         let memory_fp = dist_fingerprint(optimizer.memory());
-        let search_fp = optimizer.search_config().fingerprint();
         let memo = optimizer.search_config().memo.clone();
         ConcurrentPlanServer {
             optimizer,
             cache: ShapeCache::new(cache_capacity),
             memo,
             memory_fp,
-            search_fp,
             pruned_subsets: AtomicU64::new(0),
             bound_evals: AtomicU64::new(0),
             sharp_bound_evals: AtomicU64::new(0),
@@ -425,8 +463,8 @@ impl<'a> ConcurrentPlanServer<'a> {
         let probe_start = trace.now_ns();
 
         // Serving a cached (or coalesced) plan to a renamed request is
-        // only sound when the mode commutes with table renaming — see
-        // `PlanServer::serve`; the refusals are identical here.
+        // only sound when the mode commutes with table renaming: the
+        // randomized modes walk RNG trajectories over table indices.
         let cacheable_mode = !matches!(
             mode,
             Mode::IterativeImprovement { .. } | Mode::SimulatedAnnealing { .. }
@@ -479,7 +517,7 @@ impl<'a> ConcurrentPlanServer<'a> {
             });
         };
 
-        let env = [self.memory_fp, mode.fingerprint(), self.search_fp];
+        let env = [self.memory_fp, mode.fingerprint()];
         let exact_key = key_with_env(&form.exact, &env);
         let weak_key = key_with_env(&form.weak, &env);
 
@@ -624,9 +662,11 @@ fn search_detail(stats: &lec_core::SearchStats) -> u64 {
     (hits << 32) | pruned
 }
 
-/// Append the environment fingerprints (memory distribution, mode, search
-/// config) to a shape encoding, producing the final cache key.
-pub(crate) fn key_with_env(encoding: &[u64], env: &[u64; 3]) -> Box<[u64]> {
+/// Append the environment fingerprints (memory distribution, mode) to a
+/// shape encoding, producing the final cache key.  The search config
+/// stays out: its knobs (threads, fan-out gate, pool, memo, pruning,
+/// telemetry) never change an answer.
+pub(crate) fn key_with_env(encoding: &[u64], env: &[u64; 2]) -> Box<[u64]> {
     let mut key = Vec::with_capacity(encoding.len() + env.len());
     key.extend_from_slice(encoding);
     key.extend_from_slice(env);
@@ -672,7 +712,7 @@ mod tests {
     use lec_core::fixtures;
 
     #[test]
-    fn concurrent_server_serves_through_a_shared_reference() {
+    fn repeat_requests_are_served_from_cache_byte_identically() {
         let (cat, q) = fixtures::three_chain();
         let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
         let server = ConcurrentPlanServer::new(&cat, memory.clone());
@@ -682,11 +722,117 @@ mod tests {
         assert_eq!(second.decision, CacheDecision::Served);
         assert_eq!(first.plan, second.plan);
         assert_eq!(first.cost.to_bits(), second.cost.to_bits());
+        // And both match a fresh, cache-free optimization.
         let fresh = Optimizer::new(&cat, memory)
             .optimize(&q, &Mode::AlgorithmC)
             .unwrap();
         assert_eq!(fresh.plan, second.plan);
         assert_eq!(fresh.cost.to_bits(), second.cost.to_bits());
+        assert_eq!(server.cache_stats().served, 1);
+        assert_eq!(server.cache_stats().recomputed, 1);
+        assert_eq!(server.hit_histogram(), vec![1]);
+    }
+
+    #[test]
+    fn renamed_requests_hit_the_same_entry() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory.clone());
+        server.serve(&q, &Mode::AlgorithmC).unwrap();
+        let map = [2usize, 0, 1];
+        let renamed = q.relabel_tables(&map);
+        let served = server.serve(&renamed, &Mode::AlgorithmC).unwrap();
+        assert_eq!(served.decision, CacheDecision::Served);
+        // The served plan must match a fresh optimization of the renamed
+        // query — table numbering included.
+        let fresh = Optimizer::new(&cat, memory)
+            .optimize(&renamed, &Mode::AlgorithmC)
+            .unwrap();
+        assert_eq!(served.plan, fresh.plan);
+        assert_eq!(served.cost.to_bits(), fresh.cost.to_bits());
+    }
+
+    #[test]
+    fn distinct_modes_and_memories_do_not_share_entries() {
+        let (cat, q) = fixtures::three_chain();
+        let m1 = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let m2 = lec_prob::presets::spread_family(900.0, 0.4, 4).unwrap();
+        let s1 = ConcurrentPlanServer::new(&cat, m1);
+        s1.serve(&q, &Mode::AlgorithmC).unwrap();
+        assert_eq!(
+            s1.serve(&q, &Mode::Bushy).unwrap().decision,
+            CacheDecision::Recomputed,
+            "a different mode is a different key"
+        );
+        let s2 = ConcurrentPlanServer::new(&cat, m2);
+        assert_eq!(
+            s2.serve(&q, &Mode::AlgorithmC).unwrap().decision,
+            CacheDecision::Recomputed,
+            "a different memory belief is a different key"
+        );
+    }
+
+    #[test]
+    fn near_miss_revalidates_instead_of_trusting_the_cache() {
+        let (cat, mut q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory.clone());
+        server.serve(&q, &Mode::AlgorithmC).unwrap();
+        // Drift a selectivity within its log2 bucket: same weak shape,
+        // different exact computation.
+        let drifted = q.joins[0].selectivity.mean() * 1.01;
+        q.joins[0].selectivity = lec_prob::Distribution::point(drifted);
+        let resp = server.serve(&q, &Mode::AlgorithmC).unwrap();
+        assert_eq!(resp.decision, CacheDecision::Revalidated);
+        let fresh = Optimizer::new(&cat, memory)
+            .optimize(&q, &Mode::AlgorithmC)
+            .unwrap();
+        assert_eq!(resp.plan, fresh.plan);
+        assert_eq!(resp.cost.to_bits(), fresh.cost.to_bits());
+    }
+
+    #[test]
+    fn randomized_modes_bypass_the_cache() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        let mode = Mode::IterativeImprovement {
+            config: lec_core::RandomizedConfig::default(),
+            seed: 7,
+        };
+        for _ in 0..2 {
+            let resp = server.serve(&q, &mode).unwrap();
+            assert_eq!(resp.decision, CacheDecision::Uncacheable);
+        }
+        assert_eq!(server.cache_len(), 0);
+        assert_eq!(server.cache_stats().uncacheable, 2);
+    }
+
+    #[test]
+    fn invalid_queries_are_rejected_before_touching_the_cache() {
+        let (cat, mut q) = fixtures::three_chain();
+        q.joins.clear();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        assert!(matches!(
+            server.serve(&q, &Mode::AlgorithmC),
+            Err(OptError::InvalidQuery(_))
+        ));
+        assert_eq!(server.cache_stats().lookups, 0);
+    }
+
+    #[test]
+    fn metrics_are_machine_readable() {
+        let (cat, q) = fixtures::three_chain();
+        let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
+        let server = ConcurrentPlanServer::new(&cat, memory);
+        server.serve(&q, &Mode::AlgorithmC).unwrap();
+        server.serve(&q, &Mode::AlgorithmC).unwrap();
+        let v = server.metrics_json();
+        assert_eq!(v["cache"]["served"].as_f64(), Some(1.0));
+        assert_eq!(v["cache"]["coalesced_followers"].as_f64(), Some(0.0));
+        assert_eq!(v["cache_entries"].as_f64(), Some(1.0));
+        assert_eq!(v["hit_histogram"][0].as_f64(), Some(1.0));
     }
 
     #[test]
@@ -858,11 +1004,7 @@ mod tests {
         gate.deny.store(true, Ordering::SeqCst);
         // Plant a follower by hand via the cache, then shed the leader.
         let form = canonical_form(server.optimizer.catalog(), &q).unwrap();
-        let env = [
-            server.memory_fp,
-            Mode::AlgorithmC.fingerprint(),
-            server.search_fp,
-        ];
+        let env = [server.memory_fp, Mode::AlgorithmC.fingerprint()];
         let exact_key = key_with_env(&form.exact, &env);
         let ExactLookup::Lead(_lead) = server.cache.lookup_or_lead(&exact_key) else {
             panic!("fresh key must lead");
@@ -891,11 +1033,7 @@ mod tests {
         let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
         let server = ConcurrentPlanServer::new(&cat, memory);
         let form = canonical_form(server.optimizer.catalog(), &q).unwrap();
-        let env = [
-            server.memory_fp,
-            Mode::AlgorithmC.fingerprint(),
-            server.search_fp,
-        ];
+        let env = [server.memory_fp, Mode::AlgorithmC.fingerprint()];
         let exact_key = key_with_env(&form.exact, &env);
         // Hold leadership so the gated request below must follow.
         let ExactLookup::Lead(_lead) = server.cache.lookup_or_lead(&exact_key) else {

@@ -9,7 +9,7 @@
 //! * **Canonical-shape plan cache** ([`canon`], [`cache`]): every request
 //!   is normalized to a canonical table labeling (join-graph topology up
 //!   to renaming, per-table statistics, memory-distribution and
-//!   mode/config fingerprints — Weisfeiler–Leman refinement plus
+//!   mode fingerprints — Weisfeiler–Leman refinement plus
 //!   minimum-encoding tie-breaking).  Requests that are renamings of an
 //!   already-optimized shape skip the whole DP: the cached plan is
 //!   relabeled into the caller's numbering and served.  Near-misses (same
@@ -26,15 +26,15 @@
 //!   sub-100µs queries a serving layer answers all day — with results
 //!   byte-identical to the serial driver, as for every other pool.
 //!
-//! [`PlanServer`] ties the two together behind one `serve` call:
+//! [`ConcurrentPlanServer`] ties the two together behind one `serve` call:
 //!
 //! ```
 //! use lec_core::{fixtures, Mode};
-//! use lec_service::{CacheDecision, PlanServer};
+//! use lec_service::{CacheDecision, ConcurrentPlanServer};
 //!
 //! let (catalog, query) = fixtures::three_chain();
 //! let memory = lec_prob::presets::spread_family(400.0, 0.6, 4).unwrap();
-//! let mut server = PlanServer::new(&catalog, memory);
+//! let server = ConcurrentPlanServer::new(&catalog, memory);
 //!
 //! let cold = server.serve(&query, &Mode::AlgorithmC).unwrap();
 //! assert_eq!(cold.decision, CacheDecision::Recomputed);
@@ -48,14 +48,12 @@
 //!
 //! # Many clients, one server
 //!
-//! `PlanServer` answers one client at a time; [`ConcurrentPlanServer`]
-//! (the engine `PlanServer` itself delegates to) is the multi-client
-//! front end — `serve` takes `&self`, the plan cache is lock-striped so
-//! hits never serialize behind a global lock, and concurrent misses on
-//! the same exact canonical shape *coalesce*: one leader runs the DP,
-//! every follower blocks on it and gets the canonical answer relabeled
-//! into its own table numbering ([`CacheDecision::Coalesced`]).  Share it
-//! with `Arc` (or plain borrows under [`std::thread::scope`]):
+//! `serve` takes `&self`: the plan cache is lock-striped so hits never
+//! serialize behind a global lock, and concurrent misses on the same
+//! exact canonical shape *coalesce*: one leader runs the DP, every
+//! follower blocks on it and gets the canonical answer relabeled into
+//! its own table numbering ([`CacheDecision::Coalesced`]).  Share the
+//! server with `Arc` (or plain borrows under [`std::thread::scope`]):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -89,7 +87,6 @@
 
 pub mod cache;
 pub mod concurrent;
-pub mod server;
 
 /// Canonicalization now lives in the shared [`lec_canon`] crate (both this
 /// crate's whole-request cache keys and `lec-core`'s per-node subplan memo
@@ -97,8 +94,9 @@ pub mod server;
 pub use lec_canon as canon;
 
 pub use cache::{CacheDecision, CacheStats, ShapeCache, CACHE_SHARDS};
-pub use concurrent::{ConcurrentPlanServer, ServeError, ServeHooks};
+pub use concurrent::{
+    ConcurrentPlanServer, ServeError, ServeHooks, ServeResponse, DEFAULT_CACHE_CAPACITY,
+};
 pub use lec_canon::{
     canonical_form, CanonicalForm, RefusalReason, MAX_CANDIDATE_PERMS, MAX_CANON_TABLES,
 };
-pub use server::{PlanServer, ServeResponse, DEFAULT_CACHE_CAPACITY};

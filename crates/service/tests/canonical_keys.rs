@@ -4,7 +4,7 @@
 
 use lec_core::{fixtures, Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
-use lec_service::{canonical_form, CacheDecision, PlanServer, RefusalReason};
+use lec_service::{canonical_form, CacheDecision, ConcurrentPlanServer, RefusalReason};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +62,7 @@ proptest! {
         // from cache): the served answer must be byte-identical to a
         // fresh optimization of the renamed request.
         let memory = lec_prob::presets::spread_family(center, 0.5, 4).unwrap();
-        let mut server = PlanServer::new(&cat, memory.clone());
+        let server = ConcurrentPlanServer::new(&cat, memory.clone());
         let first = server.serve(&q, &Mode::AlgorithmC).unwrap();
         prop_assert_eq!(first.decision, CacheDecision::Recomputed);
         let served = server.serve(&renamed, &Mode::AlgorithmC).unwrap();
@@ -180,7 +180,7 @@ fn distinct_memory_distributions_never_share_cache_entries() {
         lec_cost::dist_fingerprint(&m1),
         lec_cost::dist_fingerprint(&m2)
     );
-    let mut s1 = PlanServer::new(&cat, m1);
+    let s1 = ConcurrentPlanServer::new(&cat, m1);
     assert_eq!(
         s1.serve(&q, &Mode::AlgorithmC).unwrap().decision,
         CacheDecision::Recomputed
@@ -189,7 +189,7 @@ fn distinct_memory_distributions_never_share_cache_entries() {
         s1.serve(&q, &Mode::AlgorithmC).unwrap().decision,
         CacheDecision::Served
     );
-    let mut s2 = PlanServer::new(
+    let s2 = ConcurrentPlanServer::new(
         &cat,
         lec_prob::presets::spread_family(400.0, 0.6, 6).unwrap(),
     );

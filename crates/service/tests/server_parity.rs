@@ -1,5 +1,5 @@
 //! The acceptance parity test: over a 500-query skewed workload (repeats
-//! and table-renamed copies of a base query pool), every `PlanServer`
+//! and table-renamed copies of a base query pool), every `ConcurrentPlanServer`
 //! response — served, revalidated, recomputed, or uncacheable — is
 //! byte-identical (plan, cost bits, table numbering) to a fresh
 //! `Optimizer::optimize` of the same request, and the cache actually
@@ -7,7 +7,7 @@
 
 use lec_core::{Mode, Optimizer};
 use lec_plan::{Query, QueryProfile, Topology, WorkloadGenerator};
-use lec_service::{CacheDecision, PlanServer};
+use lec_service::{CacheDecision, ConcurrentPlanServer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,7 +77,7 @@ fn five_hundred_query_stream_is_byte_identical_to_fresh_optimization() {
     assert_eq!(stream.len(), STREAM_LEN);
 
     let memory = lec_prob::presets::spread_family(500.0, 0.6, 4).unwrap();
-    let mut server = PlanServer::new(&catalog, memory.clone());
+    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
     let fresh_opt = Optimizer::new(&catalog, memory);
     let mode = Mode::AlgorithmC;
 
@@ -149,7 +149,7 @@ fn mixed_mode_stream_stays_byte_identical() {
     let catalog = g.generate(12);
     let pool = base_pool(&catalog, 23, 6);
     let memory = lec_prob::presets::spread_family(700.0, 0.5, 4).unwrap();
-    let mut server = PlanServer::new(&catalog, memory.clone());
+    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
     let fresh_opt = Optimizer::new(&catalog, memory);
     // AlgorithmB used to be the uncacheable-mode representative; its top-c
     // frontier now truncates under the rename-equivariant (cost, plan

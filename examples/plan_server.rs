@@ -1,4 +1,4 @@
-//! The cross-query serving layer: a `PlanServer` answering a skewed
+//! The cross-query serving layer: a `ConcurrentPlanServer` answering a skewed
 //! stream of optimization requests through the canonical-shape plan cache
 //! and a persistent worker pool.
 //!
@@ -16,7 +16,7 @@ use lec_qopt::catalog::CatalogGenerator;
 use lec_qopt::core::{Mode, Optimizer};
 use lec_qopt::plan::{QueryProfile, Topology, WorkloadGenerator};
 use lec_qopt::prob::presets;
-use lec_qopt::service::{CacheDecision, PlanServer};
+use lec_qopt::service::{CacheDecision, ConcurrentPlanServer};
 
 fn main() {
     let mut gen = CatalogGenerator::new(42);
@@ -40,7 +40,7 @@ fn main() {
         .collect();
 
     let memory = presets::spread_family(600.0, 0.6, 4).unwrap();
-    let mut server = PlanServer::new(&catalog, memory.clone());
+    let server = ConcurrentPlanServer::new(&catalog, memory.clone());
     let fresh = Optimizer::new(&catalog, memory);
 
     // A small skewed stream: each base shape repeatedly, under rotating

@@ -11,7 +11,7 @@
 use lec_core::search::SubplanMemo;
 use lec_core::{Mode, Optimizer, SearchConfig};
 use lec_plan::{ColumnRef, JoinPredicate, Query, QueryTable};
-use lec_service::PlanServer;
+use lec_service::ConcurrentPlanServer;
 use std::sync::Arc;
 
 fn chain_window(ids: &[lec_catalog::TableId], lo: usize, len: usize) -> Query {
@@ -95,13 +95,14 @@ fn main() {
         second.stats.evals, second.stats.cache_hits
     );
 
-    // The serving layer wires this up by default: a PlanServer's searches
-    // share one memo, so even cold different-shaped requests reuse nodes.
-    let mut server = PlanServer::new(&cat, memory);
+    // The serving layer wires this up by default: a ConcurrentPlanServer's
+    // searches share one memo, so even cold different-shaped requests
+    // reuse nodes.
+    let server = ConcurrentPlanServer::new(&cat, memory);
     let a = server.serve(&qa, &mode).unwrap();
     let b = server.serve(&qb, &mode).unwrap();
     println!(
-        "PlanServer: A {:?} ({} memo misses), B {:?} ({} memo hits)",
+        "ConcurrentPlanServer: A {:?} ({} memo misses), B {:?} ({} memo hits)",
         a.decision, a.stats.memo_misses, b.decision, b.stats.memo_hits
     );
     assert!(
